@@ -182,7 +182,7 @@ def _batching(args) -> None:
 
 
 def _arena(args) -> None:
-    """Columnar arena vs object data plane; memory vs SQL backend parity."""
+    """Columnar arena throughput and footprint; memory vs SQL backend parity."""
     import hashlib
     import tracemalloc
 
@@ -194,50 +194,18 @@ def _arena(args) -> None:
     tuples = as_stream_tuples(q3_stream(n, seed=12))
     bs = args.batch_size or 64
 
-    def measure(columnar: bool):
-        # Timed run first (tracemalloc's bookkeeping would distort the
-        # throughput), then a separate traced run for the peak footprint.
-        stats = drive_local(
-            make_spo_join(query, window),
-            tuples,
-            batch_size=bs,
-            columnar=columnar,
-        )
-        tracemalloc.start()
-        drive_local(
-            make_spo_join(query, window),
-            tuples,
-            batch_size=bs,
-            columnar=columnar,
-        )
-        __, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return stats, peak
-
-    obj_stats, obj_peak = measure(False)
-    col_stats, col_peak = measure(True)
-    if obj_stats.matches != col_stats.matches:
-        raise SystemExit(
-            f"arena path diverged from object path: "
-            f"{col_stats.matches} vs {obj_stats.matches} matches"
-        )
-    speedup = (
-        col_stats.throughput / obj_stats.throughput
-        if obj_stats.throughput
-        else 0.0
-    )
+    # Timed run first (tracemalloc's bookkeeping would distort the
+    # throughput), then a separate traced run for the peak footprint.
+    stats = drive_local(make_spo_join(query, window), tuples, batch_size=bs)
+    tracemalloc.start()
+    drive_local(make_spo_join(query, window), tuples, batch_size=bs)
+    __, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
     table = ResultTable(
-        f"Columnar arena vs object data plane, Q3 (batch {bs})",
-        ["path", "tuples/sec", "matches", "peak alloc (MiB)", "speedup"],
+        f"Columnar arena data plane, Q3 (batch {bs})",
+        ["path", "tuples/sec", "matches", "peak alloc (MiB)"],
     )
-    table.add_row(
-        "object", obj_stats.throughput, obj_stats.matches,
-        obj_peak / 2**20, 1.0,
-    )
-    table.add_row(
-        "arena", col_stats.throughput, col_stats.matches,
-        col_peak / 2**20, speedup,
-    )
+    table.add_row("arena", stats.throughput, stats.matches, peak / 2**20)
     table.show()
     try:
         import resource
@@ -291,20 +259,13 @@ def _arena(args) -> None:
             "stream_tuples": n,
             "batch_size": bs,
             "paths": {
-                "object": {
-                    "throughput_tps": obj_stats.throughput,
-                    "matches": obj_stats.matches,
-                    "tracemalloc_peak_bytes": obj_peak,
-                    "mean_per_batch_cost_s": obj_stats.mean_batch_cost,
-                },
                 "arena": {
-                    "throughput_tps": col_stats.throughput,
-                    "matches": col_stats.matches,
-                    "tracemalloc_peak_bytes": col_peak,
-                    "mean_per_batch_cost_s": col_stats.mean_batch_cost,
+                    "throughput_tps": stats.throughput,
+                    "matches": stats.matches,
+                    "tracemalloc_peak_bytes": peak,
+                    "mean_per_batch_cost_s": stats.mean_batch_cost,
                 },
             },
-            "arena_speedup_vs_object": speedup,
             "peak_rss_kib": peak_rss_kib,
             "backend_parity": parity_rows,
         },

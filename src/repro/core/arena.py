@@ -1,9 +1,8 @@
 """Columnar tuple arena: structure-of-arrays storage for stream tuples.
 
-The object data plane boxes every tuple as a :class:`~repro.core.tuples.
-StreamTuple`, which forces a fresh Python→numpy conversion at every
-vectorised probe (``core/pojoin_numpy.py`` historically rebuilt a float64
-column with ``np.fromiter`` per batch).  The arena flips the layout:
+Boxing every tuple as a :class:`~repro.core.tuples.StreamTuple` forces
+a fresh Python→numpy conversion at every vectorised probe.  The arena
+flips the layout:
 tuple identifiers, event times, and each payload field live in contiguous
 numpy columns, and tuples become lightweight *views* (an arena reference
 plus a slot index).  A micro-batch then travels router → mutable tier →
@@ -31,10 +30,12 @@ Three public pieces:
     tuple lists it replaces, plus columnar accessors used by the
     vectorised paths.
 
-The module-level helper :func:`column_of` is the compatibility shim: it
-returns the zero-copy column when given an :class:`ArenaSlice` and falls
-back to ``np.fromiter`` over objects otherwise, so every call site works
-with both data planes during the migration.
+Below the public API the arena is the only batch format: kernels take
+:class:`ArenaSlice` arguments and read columns through the slice
+accessors (``field_values``, ``tids_list``, ``stream_flags``,
+``event_time_values``).  Plain tuple lists enter once, at
+:meth:`~repro.core.spojoin.SPOJoin.process_many`, through
+:meth:`ArenaSlice.of`.
 
 Wire format
 -----------
@@ -46,30 +47,25 @@ slice as its raw column arrays plus the stream dictionary — never as
 per-tuple objects — and :meth:`ArenaSlice.from_wire` rebuilds a fresh
 single-owner arena around those columns without per-tuple appends.
 ``__reduce__`` on :class:`ArenaSlice` / :class:`ArenaTuple` (and on
-:class:`~repro.dspe.router.ArenaBatch`) routes pickling through the wire
+:class:`~repro.dspe.engine.TupleBatch`) routes pickling through the wire
 helpers, so queue transport pays one vectorised gather per column and
 round-trips bit-identically.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union, overload
 
 import numpy as np
 
 from .tuples import StreamTuple
 
-__all__ = [
-    "TupleArena",
-    "ArenaTuple",
-    "ArenaSlice",
-    "column_of",
-    "tids_of",
-    "flags_of",
-    "event_times_of",
-]
+__all__ = ["TupleArena", "ArenaTuple", "ArenaSlice", "MAX_STREAMS"]
 
 _INITIAL_CAPACITY = 64
+
+#: Distinct stream names one arena can hold: codes 0..127 fit in int8.
+MAX_STREAMS = 128
 
 
 class TupleArena:
@@ -78,8 +74,10 @@ class TupleArena:
     Columns: ``tids`` (int64), ``event_times`` (float64), and a 2-D
     ``fields`` array of shape ``(num_fields, capacity)`` so each field is
     a contiguous row.  Stream names are dictionary-encoded per arena
-    (``stream_names`` / int8 codes); a single-stream arena stores one
-    name and no code column.
+    (``stream_names`` / int8 codes), so one arena holds at most
+    :data:`MAX_STREAMS` (128) distinct stream names; adding another
+    raises ``ValueError`` rather than wrapping the code into a wrong
+    stream.
 
     The field count is fixed lazily by the first appended tuple, which
     lets the router build arenas without knowing the schema up front.
@@ -137,6 +135,11 @@ class TupleArena:
         try:
             return self.stream_names.index(stream)
         except ValueError:
+            if len(self.stream_names) >= MAX_STREAMS:
+                raise ValueError(
+                    f"an arena holds at most {MAX_STREAMS} distinct stream "
+                    f"names (int8 codes); cannot add {stream!r}"
+                ) from None
             self.stream_names.append(stream)
             return len(self.stream_names) - 1
 
@@ -406,7 +409,13 @@ class ArenaSlice:
 
     @classmethod
     def of(cls, tuples: Sequence[StreamTuple]) -> "ArenaSlice":
-        """Copy plain tuples into a fresh arena (test/bench helper)."""
+        """Copy plain tuples into a fresh arena.
+
+        The single conversion from boxed tuples into the columnar plane:
+        :meth:`~repro.core.spojoin.SPOJoin.process_many` calls it on a
+        plain list before any kernel runs, and tests and benches use it
+        to build kernel inputs.
+        """
         arena = TupleArena(capacity=max(1, len(tuples)))
         return arena.extend(tuples)
 
@@ -425,6 +434,12 @@ class ArenaSlice:
         if self.index is not None:
             return int(self.index[i])
         return self.start + i
+
+    @overload
+    def __getitem__(self, item: int) -> ArenaTuple: ...
+
+    @overload
+    def __getitem__(self, item: slice) -> "ArenaSlice": ...
 
     def __getitem__(
         self, item: Union[int, slice]
@@ -555,40 +570,3 @@ def _tuple_from_wire(wire: dict) -> ArenaTuple:
     """Unpickle hook for :class:`ArenaTuple` (one-row wire slice)."""
     sl = ArenaSlice.from_wire(wire)
     return ArenaTuple(sl.arena, 0)
-
-
-# ----------------------------------------------------------------------
-# Compatibility shims: columnar fast path with object fallback
-# ----------------------------------------------------------------------
-def column_of(probes: Sequence[StreamTuple], field_index: int) -> np.ndarray:
-    """float64 column of ``field_index`` across ``probes``.
-
-    Zero-copy for :class:`ArenaSlice`; builds the column with
-    ``np.fromiter`` for plain tuple sequences.
-    """
-    if isinstance(probes, ArenaSlice):
-        return probes.field_values(field_index)
-    return np.fromiter(
-        (t.values[field_index] for t in probes), np.float64, len(probes)
-    )
-
-
-def tids_of(probes: Sequence[StreamTuple]) -> List[int]:
-    """Tuple ids across ``probes`` as pure-Python ints."""
-    if isinstance(probes, ArenaSlice):
-        return probes.tids_list()
-    return [t.tid for t in probes]
-
-
-def flags_of(probes: Sequence[StreamTuple], left_stream: str) -> List[bool]:
-    """Per-tuple "probes as left?" flags (stream equality test)."""
-    if isinstance(probes, ArenaSlice):
-        return probes.stream_flags(left_stream).tolist()
-    return [t.stream == left_stream for t in probes]
-
-
-def event_times_of(probes: Sequence[StreamTuple]) -> List[float]:
-    """Event timestamps across ``probes`` as pure-Python floats."""
-    if isinstance(probes, ArenaSlice):
-        return probes.event_time_values().tolist()
-    return [t.event_time for t in probes]

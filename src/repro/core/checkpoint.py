@@ -110,9 +110,9 @@ def checkpoint(join: SPOJoin) -> Dict[str, Any]:
         "num_threads": join.num_threads,
         "backend": join.backend,
         "backend_options": dict(join.backend_options),
-        "merge_counter": join._merge_counter,
+        "merge_counter": join._clock.count,
         "next_batch_id": join._next_batch_id,
-        "next_merge_time": join._next_merge_time,
+        "next_merge_time": join._clock.next_time,
         "degraded": join.degraded,
         "deferred_merges": join.deferred_merges,
         "expired_batches": join.immutable.expired_batches,
@@ -242,9 +242,9 @@ def restore(
     join.immutable.expired_batches = state["expired_batches"]
 
     # Counters.
-    join._merge_counter = state["merge_counter"]
+    join._clock.count = state["merge_counter"]
     join._next_batch_id = state["next_batch_id"]
-    join._next_merge_time = state["next_merge_time"]
+    join._clock.next_time = state["next_merge_time"]
     # Absent in snapshots written before overload degradation existed;
     # those were all taken with degradation off.
     join.degraded = state.get("degraded", False)

@@ -23,26 +23,19 @@ microbenches (insertion cost, match rate, window split) measure.
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .arena import ArenaSlice, flags_of, tids_of
+from .arena import ArenaSlice
 from .merge import build_merge_batch_from_runs
 from .mutable import MutableComponent
 from .pojoin import POJoinBatch, POJoinList
 from .query import QuerySpec
 from .tuples import StreamTuple
-from .window import MergePolicy, WindowKind, WindowSpec
+from .window import MergeClock, MergePolicy, WindowKind, WindowSpec
 
 __all__ = ["SPOJoin", "JoinStats"]
 
 Pair = Tuple[int, int]
-
-
-def _take(tuples: Sequence[StreamTuple], idx: List[int]):
-    """Positional subset, zero-copy for arena slices."""
-    if isinstance(tuples, ArenaSlice):
-        return tuples.take(idx)
-    return [tuples[i] for i in idx]
 
 
 class JoinStats:
@@ -153,9 +146,8 @@ class SPOJoin:
         self.immutable = POJoinList(query, max_batches=self.policy.max_batches)
 
         self.stats = JoinStats()
-        self._merge_counter = 0.0
+        self._clock = MergeClock(self.policy)
         self._next_batch_id = 0
-        self._next_merge_time: Optional[float] = None
         #: Graceful degradation (overload pressure, see repro.dspe.flow):
         #: while degraded the join answers from the mutable component
         #: only (no immutable probes) and defers merges past the delta
@@ -232,7 +224,8 @@ class SPOJoin:
             hook("mutable_insert", time.perf_counter() - t1)  # repro: allow-wallclock
 
         # (4-12) merge-interval bookkeeping.
-        self._advance_merge_clock(t)
+        if self._clock.advance(t):
+            self._merge_or_defer()
 
         self.stats.tuples_processed += 1
         self.stats.matches_emitted += len(matches)
@@ -241,7 +234,9 @@ class SPOJoin:
     # ------------------------------------------------------------------
     # Micro-batched processing (the batch-first hot path)
     # ------------------------------------------------------------------
-    def process_many(self, tuples: Sequence[StreamTuple]) -> List[Pair]:
+    def process_many(
+        self, tuples: Union[ArenaSlice, Sequence[StreamTuple]]
+    ) -> List[Pair]:
         """Run a micro-batch through Algorithm 1 in amortized passes.
 
         Produces exactly ``process(t)`` concatenated over ``tuples`` —
@@ -252,55 +247,50 @@ class SPOJoin:
         positions where the merge clock fires; within a sub-batch the
         immutable list is frozen and the mutable window only grows,
         which the slot-bounded batched evaluation accounts for.
+
+        A plain tuple list is copied into an arena once, here; every
+        kernel below works on :class:`~repro.core.arena.ArenaSlice`
+        columns.
         """
+        batch = (
+            tuples if isinstance(tuples, ArenaSlice) else ArenaSlice.of(tuples)
+        )
         pairs: List[Pair] = []
-        i, n = 0, len(tuples)
+        i, n = 0, len(batch)
         while i < n:
-            j, fired = self._scan_boundary(tuples, i)
-            self._process_subbatch(tuples[i:j], pairs)
+            j, fired = self._scan_boundary(batch, i)
+            self._process_subbatch(batch[i:j], pairs)
             if fired:
                 self._merge_or_defer()
             i = j
         return pairs
 
-    def _scan_boundary(
-        self, tuples: Sequence[StreamTuple], start: int
-    ) -> Tuple[int, bool]:
+    def _scan_boundary(self, batch: ArenaSlice, start: int) -> Tuple[int, bool]:
         """Advance the merge clock until it fires or the batch ends.
 
-        Returns ``(end, fired)`` where ``tuples[start:end]`` is the next
+        Returns ``(end, fired)`` where ``batch[start:end]`` is the next
         merge-free sub-batch; ``fired`` means a merge is due immediately
-        after it.  The clock state is updated exactly as
-        :meth:`_advance_merge_clock` would have, minus the merge itself.
+        after it.  The clock advances exactly as :meth:`process` would
+        advance it, minus the merge itself.
         """
-        if self.window.kind is WindowKind.COUNT:
-            for k in range(start, len(tuples)):
-                self._merge_counter += 1
-                if self._merge_counter >= self.policy.delta:
-                    self._merge_counter = 0
+        clock = self._clock
+        n = len(batch)
+        if clock.kind is WindowKind.COUNT:
+            for k in range(start, n):
+                if clock.advance(None):
                     return k + 1, True
-            return len(tuples), False
-        if isinstance(tuples, ArenaSlice):
-            # Columnar batches scan the event-time column directly.
-            times: Sequence[float] = tuples.event_time_values()
-        else:
-            times = [t.event_time for t in tuples]
-        for k in range(start, len(tuples)):
-            event_time = float(times[k])
-            if self._next_merge_time is None:
-                self._next_merge_time = event_time + self.policy.delta
-            elif event_time >= self._next_merge_time:
-                self._next_merge_time += self.policy.delta
+            return n, False
+        times = batch.event_time_values()[start:].tolist()
+        for k, event_time in enumerate(times, start):
+            if clock.advance_time(event_time):
                 return k + 1, True
-        return len(tuples), False
+        return n, False
 
-    def _process_subbatch(
-        self, sub: Sequence[StreamTuple], pairs: List[Pair]
-    ) -> None:
+    def _process_subbatch(self, sub: ArenaSlice, pairs: List[Pair]) -> None:
         if not self.is_two_stream:
             flags = [True] * len(sub)
         else:
-            flags = flags_of(sub, self.left_stream)
+            flags = sub.stream_flags(self.left_stream).tolist()
         hook = self.phase_hook
         t0 = time.perf_counter() if hook is not None else 0.0  # repro: allow-wallclock
         mutable_rows = self._mutable_batch(sub, flags)
@@ -319,7 +309,7 @@ class SPOJoin:
         else:
             self.stats.degraded_tuples += len(sub)
             immutable_rows = [[] for __ in sub]
-        for tid, mut, imm in zip(tids_of(sub), mutable_rows, immutable_rows):
+        for tid, mut, imm in zip(sub.tids_list(), mutable_rows, immutable_rows):
             self.stats.mutable_matches += len(mut)
             self.stats.immutable_matches += len(imm)
             self.stats.tuples_processed += 1
@@ -328,7 +318,7 @@ class SPOJoin:
             pairs.extend((tid, m) for m in imm)
 
     def _mutable_batch(
-        self, sub: Sequence[StreamTuple], flags: List[bool]
+        self, sub: ArenaSlice, flags: List[bool]
     ) -> List[List[int]]:
         """Probe + insert a merge-free sub-batch against the mutable tier.
 
@@ -364,8 +354,8 @@ class SPOJoin:
                 seen_right += 1
         left_idx = [i for i, f in enumerate(flags) if f]
         right_idx = [i for i, f in enumerate(flags) if not f]
-        self.mutable_left.insert_many(_take(sub, left_idx))
-        self.mutable_right.insert_many(_take(sub, right_idx))
+        self.mutable_left.insert_many(sub.take(left_idx))
+        self.mutable_right.insert_many(sub.take(right_idx))
         results: List[List[int]] = [[] for __ in sub]
         for window, flag_value, idx in (
             (self.mutable_right, True, left_idx),
@@ -374,7 +364,7 @@ class SPOJoin:
             if not idx:
                 continue
             rows = window.evaluate_batch(
-                _take(sub, idx),
+                sub.take(idx),
                 [flag_value] * len(idx),
                 [bounds[i] for i in idx],
             )
@@ -418,19 +408,6 @@ class SPOJoin:
             self.stats.deferred_merges += 1
             return
         self.merge()
-
-    def _advance_merge_clock(self, t: StreamTuple) -> None:
-        if self.window.kind is WindowKind.COUNT:
-            self._merge_counter += 1
-            if self._merge_counter >= self.policy.delta:
-                self._merge_or_defer()
-                self._merge_counter = 0
-        else:
-            if self._next_merge_time is None:
-                self._next_merge_time = t.event_time + self.policy.delta
-            elif t.event_time >= self._next_merge_time:
-                self._merge_or_defer()
-                self._next_merge_time += self.policy.delta
 
     def merge(self) -> Optional[POJoinBatch]:
         """Merge the mutable window(s) into a new immutable batch."""

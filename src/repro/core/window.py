@@ -15,9 +15,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from typing import Tuple
+from typing import Optional, Tuple
 
-__all__ = ["WindowKind", "WindowSpec", "MergePolicy"]
+__all__ = ["WindowKind", "WindowSpec", "MergePolicy", "MergeClock"]
 
 #: Relative slack when deciding whether length/slide is an integral
 #: ratio: time-based specs produce quotients like 1.0/0.2 =
@@ -138,3 +138,63 @@ class MergePolicy:
             f"MergePolicy(delta={self.delta}, sub_intervals={self.sub_intervals}, "
             f"max_batches={self.max_batches})"
         )
+
+
+class MergeClock:
+    """Deterministic merge-boundary detection in router arrival order.
+
+    Count windows fire every ``delta`` tuples (the firing tuple closes
+    the interval); time windows arm on the first event time and fire
+    whenever an event time reaches the deadline, which then advances by
+    ``delta``.  Every consumer of the router's order — the local join,
+    the distributed operators, the batch-cutting routers — advances its
+    own copy, so all of them agree on boundaries (and on ``epoch``, the
+    number of intervals closed so far) without coordination messages.
+    """
+
+    __slots__ = ("kind", "delta", "count", "next_time", "epoch")
+
+    def __init__(self, policy: MergePolicy) -> None:
+        self.kind = policy.window.kind
+        self.delta = policy.delta
+        #: Tuples seen in the open interval (count windows).
+        self.count = 0.0
+        #: Deadline of the open interval (time windows; None until armed).
+        self.next_time: Optional[float] = None
+        self.epoch = 0
+
+    def advance(self, t) -> bool:
+        """Step past tuple ``t``; True when it closes a merge interval.
+
+        Count windows never read ``t`` (callers without a tuple at hand
+        may pass None); time windows read its ``event_time``.
+        """
+        if self.kind is WindowKind.COUNT:
+            self.count += 1
+            if self.count >= self.delta:
+                self.count = 0
+                self.epoch += 1
+                return True
+            return False
+        return self.advance_time(t.event_time)
+
+    def advance_time(self, event_time: float) -> bool:
+        """The time-window step of :meth:`advance`, from a bare event time."""
+        if self.next_time is None:
+            self.next_time = event_time + self.delta
+            return False
+        if event_time >= self.next_time:
+            self.next_time += self.delta
+            self.epoch += 1
+            return True
+        return False
+
+    def copy(self) -> "MergeClock":
+        """An independent clock with identical state (for lookahead)."""
+        clone = MergeClock.__new__(MergeClock)
+        clone.kind = self.kind
+        clone.delta = self.delta
+        clone.count = self.count
+        clone.next_time = self.next_time
+        clone.epoch = self.epoch
+        return clone

@@ -35,6 +35,7 @@ import random
 import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from ..core.arena import ArenaSlice
 from ..obs import Observer
 from .faults import CrashEvent, FaultConfig, FaultPlan, build_fault_plan
 from .flow import FlowConfig, FlowController
@@ -57,6 +58,13 @@ __all__ = [
 class TupleBatch:
     """A micro-batch of tuples travelling the topology as one message.
 
+    The payload is a zero-copy :class:`~repro.core.arena.ArenaSlice`:
+    the router stamps raw tuples straight into a per-batch arena, so the
+    batch travels spout → router → probe as column arrays, and
+    ``tuples`` materialises lightweight
+    :class:`~repro.core.arena.ArenaTuple` views lazily (and caches
+    them) for per-tuple consumers.
+
     The engine's cost contract is unchanged — a PE's service time is the
     measured wall clock of one ``process`` call — so a batch amortizes
     the per-message interpreter overhead over ``len(batch)`` tuples.
@@ -66,25 +74,40 @@ class TupleBatch:
     latency conservative at batch granularity.
     """
 
-    __slots__ = ("tuples", "origin_times")
+    __slots__ = ("slice", "origin_times")
 
-    def __init__(self, tuples, origin_times=None) -> None:
-        self.tuples = list(tuples)
+    def __init__(self, arena_slice: ArenaSlice, origin_times=None) -> None:
+        self.slice = arena_slice
         self.origin_times = (
             list(origin_times) if origin_times is not None else None
         )
 
+    @property
+    def tuples(self):
+        return self.slice.tuples
+
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.slice)
 
     def __iter__(self):
-        return iter(self.tuples)
+        return iter(self.slice)
+
+    def __reduce__(self):
+        # Cross-process transport (repro.parallel) ships the raw column
+        # arrays via the slice's wire format; per-tuple views are never
+        # materialised on either side of the pipe.
+        return (_batch_from_wire, (self.slice.to_wire(), self.origin_times))
 
     @property
     def origin_time(self) -> Optional[float]:
         if self.origin_times:
             return self.origin_times[0]
         return None
+
+
+def _batch_from_wire(wire, origin_times) -> TupleBatch:
+    """Unpickle hook for :class:`TupleBatch`."""
+    return TupleBatch(ArenaSlice.from_wire(wire), origin_times)
 
 
 class Message:
@@ -381,9 +404,8 @@ def _payload_key(payload) -> object:
     tid = getattr(payload, "tid", None)
     if tid is not None:
         return tid
-    if isinstance(payload, TupleBatch) and payload.tuples:
-        first = payload.tuples[0]
-        return getattr(first, "tid", repr(first))
+    if isinstance(payload, TupleBatch) and len(payload):
+        return payload.slice[0].tid
     return repr(payload)[:80]
 
 

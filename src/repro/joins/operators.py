@@ -43,7 +43,7 @@ from ..core.merge import MergeBatch, MergeSide
 from ..core.pojoin import POJoinList
 from ..core.query import QuerySpec
 from ..core.tuples import StreamTuple
-from ..core.window import MergePolicy, WindowKind, WindowSpec
+from ..core.window import MergeClock, MergePolicy, WindowSpec
 from ..dspe.cache import CacheClient, DistributedCache
 from ..dspe.engine import TupleBatch
 from ..dspe.topology import Operator
@@ -163,50 +163,6 @@ class SPOConfig:
     def global_max_batches(self) -> int:
         """Batches retained across *all* PO-Join PEs before expiry."""
         return self.policy.max_batches
-
-
-class _MergeClock:
-    """Deterministic merge-boundary detection shared by all operators.
-
-    Every operator that consumes the router broadcast advances an
-    identical copy of this clock, so epoch numbers (merge ids) agree
-    everywhere without extra coordination messages.
-    """
-
-    __slots__ = ("policy", "kind", "_count", "_next_time", "epoch")
-
-    def __init__(self, policy: MergePolicy) -> None:
-        self.policy = policy
-        self.kind = policy.window.kind
-        self._count = 0.0
-        self._next_time: Optional[float] = None
-        self.epoch = 0
-
-    def advance(self, t: StreamTuple) -> bool:
-        """Returns True when this tuple closes a merge interval."""
-        if self.kind is WindowKind.COUNT:
-            self._count += 1
-            if self._count >= self.policy.delta:
-                self._count = 0
-                self.epoch += 1
-                return True
-            return False
-        if self._next_time is None:
-            self._next_time = t.event_time + self.policy.delta
-            return False
-        if t.event_time >= self._next_time:
-            self._next_time += self.policy.delta
-            self.epoch += 1
-            return True
-        return False
-
-    def copy(self) -> "_MergeClock":
-        """An independent clock with identical state (for lookahead)."""
-        clone = _MergeClock(self.policy)
-        clone._count = self._count
-        clone._next_time = self._next_time
-        clone.epoch = self.epoch
-        return clone
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +303,7 @@ class PredicateOperator(Operator):
         self.config = config
         self.pred_idx = pred_idx
         self.pred = config.query.predicates[pred_idx]
-        self.clock = _MergeClock(config.policy)
+        self.clock = MergeClock(config.policy)
         use_slots = config.evaluator == "bit"
         self.windows: Dict[str, _FieldWindow] = {
             "left": _FieldWindow(config.bptree_order, use_slots)
@@ -554,7 +510,7 @@ class LogicalOperator(Operator):
 
     def __init__(self, config: SPOConfig) -> None:
         self.config = config
-        self.clock = _MergeClock(config.policy)
+        self.clock = MergeClock(config.policy)
         # (side, epoch) -> arrival-ordered tids.
         self._arrivals: Dict[Tuple[str, int], List[int]] = {}
         # Provenance table: probe tid -> {pred_idx: PartialMsg}.
@@ -695,7 +651,7 @@ class POJoinOperator(Operator):
         # boundary in the broadcast stream itself; when a boundary's batch
         # is owned here, tuples queue until that batch is assembled, then
         # drain against the newly merged structure.
-        self._clock = _MergeClock(config.policy)
+        self._clock = MergeClock(config.policy)
         self._awaited: set = set()
         # Batches fully assembled before this PE's clock saw their merge
         # boundary (merge parts can outrun the broadcast): linked only
@@ -771,12 +727,12 @@ class POJoinOperator(Operator):
             self._expire_from_cache(ctx)
         total_makespan = 0.0
         probed_any = False
-        run: List[StreamTuple] = []
-        for t in batch.tuples:
+        run: List[int] = []  # positions of the tuples in the open run
+        for pos, t in enumerate(batch.tuples):
             self._tuples_seen += 1
             if self._awaited:
                 if run:
-                    total_makespan += self._probe_run(run, ctx)
+                    total_makespan += self._probe_run(batch, run, ctx)
                     run = []
                 self._queue.append((t, self._clock.epoch))
                 self._advance_clock(t)
@@ -784,30 +740,40 @@ class POJoinOperator(Operator):
             if not probed_any:
                 ctx.mark("joiner")
                 probed_any = True
-            run.append(t)
+            run.append(pos)
             if self._clock.advance(t):
-                total_makespan += self._probe_run(run, ctx)
+                total_makespan += self._probe_run(batch, run, ctx)
                 run = []
                 self._on_boundary()
         if run:
-            total_makespan += self._probe_run(run, ctx)
+            total_makespan += self._probe_run(batch, run, ctx)
         if probed_any:
             ctx.charge(total_makespan)
             if ctx.observing:
                 ctx.observe_cost("immutable_probe", total_makespan)
 
-    def _probe_run(self, run: List[StreamTuple], ctx) -> float:
-        flags = [self.config.probe_is_left(t) for t in run]
+    def _probe_run(
+        self, batch: TupleBatch, positions: List[int], ctx
+    ) -> float:
+        probes = batch.slice.take(positions)
+        if self.config.two_stream:
+            flags = probes.stream_flags(self.config.left_stream).tolist()
+        else:
+            flags = [True] * len(probes)
         outcome = self.list.probe_all_batch(
-            run, flags, self.config.num_threads
+            probes, flags, self.config.num_threads
         )
-        for t, matches in zip(run, outcome.per_probe):
+        for tid, event_time, matches in zip(
+            probes.tids_list(),
+            probes.event_time_values().tolist(),
+            outcome.per_probe,
+        ):
             ctx.record(
                 "immutable_result",
                 {
-                    "tid": t.tid,
+                    "tid": tid,
                     "matches": matches,
-                    "event_time": t.event_time,
+                    "event_time": event_time,
                     "pe": self._pe_index,
                 },
             )

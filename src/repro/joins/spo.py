@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
+from ..core.window import MergeClock
 from ..dspe.engine import Engine, RunResult
 from ..dspe.partitioning import Grouping
 from ..dspe.router import RawTuple, RouterOperator
@@ -30,7 +31,6 @@ from .operators import (
     POJoinOperator,
     PredicateOperator,
     SPOConfig,
-    _MergeClock,
 )
 
 __all__ = ["SPORouterOperator", "build_spo_topology", "run_spo"]
@@ -57,7 +57,7 @@ class SPORouterOperator(RouterOperator):
     def __init__(self, config: SPOConfig) -> None:
         cut_fn = None
         if config.batch_size > 1:
-            clock = _MergeClock(config.policy)
+            clock = MergeClock(config.policy)
             cut_fn = clock.advance
         super().__init__(
             batch_size=config.batch_size,

@@ -24,10 +24,10 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.arena import ArenaSlice, TupleArena
+from ..core.arena import ArenaSlice
 from ..core.predicates import BandPredicate, Op, Predicate
 from ..core.query import QuerySpec
-from ..core.window import MergePolicy, WindowKind, WindowSpec
+from ..core.window import MergeClock, MergePolicy, WindowSpec
 from ..dspe.partitioning import RangeShards
 from ..dspe.router import RouterOperator
 from .balance import BalanceConfig, ShardLoadTracker
@@ -240,10 +240,10 @@ class ShardRouterOperator(RouterOperator):
     interval's batches — the consistent cut the exactness argument in
     :mod:`repro.parallel.spo_shard` relies on.
 
-    The clock replicates :meth:`repro.core.spojoin.SPOJoin._scan_boundary`
-    tuple for tuple: COUNT windows fire when the counter reaches the
-    merge delta (the firing tuple closes the interval); TIME windows arm
-    on the first event and fire when an event time passes the deadline.
+    The clock is the reference implementation's
+    :class:`~repro.core.window.MergeClock`, advanced tuple for tuple in
+    stamping order, so boundaries fall exactly where
+    :class:`~repro.core.spojoin.SPOJoin` merges.
 
     With ``balance`` set the router becomes *adaptive*: a
     :class:`~repro.parallel.balance.ShardLoadTracker` watches the store
@@ -277,7 +277,6 @@ class ShardRouterOperator(RouterOperator):
             batch_size=batch_size,
             flush_timeout=flush_timeout,
             cut_fn=None,
-            columnar=True,
         )
         self.query = query
         self.window = window
@@ -289,51 +288,16 @@ class ShardRouterOperator(RouterOperator):
             self.tracker = ShardLoadTracker(
                 shards, self.policy.max_batches, balance
             )
-        self._merge_counter = 0.0
-        self._next_merge_time: Optional[float] = None
+        self._clock = MergeClock(self.policy)
         self._boundary_id = -1
         self._epoch = 0
 
     # ------------------------------------------------------------------
-    def _advance_clock(self, tuple_) -> bool:
-        if self.window.kind is WindowKind.COUNT:
-            self._merge_counter += 1
-            if self._merge_counter >= self.policy.delta:
-                self._merge_counter = 0
-                return True
-            return False
-        event_time = tuple_.event_time
-        if self._next_merge_time is None:
-            self._next_merge_time = event_time + self.policy.delta
-            return False
-        if event_time >= self._next_merge_time:
-            self._next_merge_time += self.policy.delta
-            return True
-        return False
-
-    # ------------------------------------------------------------------
     def process(self, payload, ctx) -> None:
-        # Always the buffered columnar path (even at batch_size=1): the
-        # shard split needs the arena's column views.
-        raw = payload
-        if (
-            self.flush_timeout is not None
-            and self._buffered()
-            and ctx.now - self._buffer_opened >= self.flush_timeout
-        ):
-            self._flush_buffer(ctx)
-        if not self._buffered():
-            self._buffer_opened = ctx.now
-        if self._arena is None:
-            self._arena = TupleArena(capacity=self.batch_size)
-        slot = self._arena.append(
-            self._next_tid, raw.stream, raw.values, raw.event_time
-        )
-        tuple_ = self._arena.view(slot)
-        self._next_tid += 1
-        self._on_stamped(tuple_, ctx)
-        self._buffer_origins.append(ctx.origin_time)
-        fired = self._advance_clock(tuple_)
+        # Always the buffered path (even at batch_size=1): the shard
+        # split needs the arena's column views.
+        tuple_ = self._stamp(payload, ctx)
+        fired = self._clock.advance(tuple_)
         if fired or self._buffered() >= self.batch_size:
             self._flush_buffer(ctx)
         if fired:
@@ -387,17 +351,7 @@ class ShardRouterOperator(RouterOperator):
             },
         )
 
-    def _flush_buffer(self, ctx) -> None:
-        if not self._buffered():
-            return
-        if ctx.observing:
-            ctx.observe_event(
-                "router_flush",
-                tuples=self._buffered(),
-                opened=self._buffer_opened,
-            )
-        assert self._arena is not None
-        batch = self._arena.slice()
+    def _emit_batch(self, batch: ArenaSlice, ctx) -> None:
         if self.tracker is not None:
             self.tracker.note_stores(
                 batch.field_values(self.query.predicates[0].right_field)
@@ -406,6 +360,3 @@ class ShardRouterOperator(RouterOperator):
             batch, self.shards, self.query, self.prefilter
         ):
             ctx.emit(shard_batch, stream="shards")
-        self._arena = None
-        self._buffer_origins = []
-        self._buffer_opened = None

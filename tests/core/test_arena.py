@@ -1,4 +1,4 @@
-"""Columnar tuple arena: views, slices, and object-plane equivalence.
+"""Columnar tuple arena: views, slices, and boxed-tuple equivalence.
 
 The arena is the storage half of the columnar data plane; these tests pin
 down the contract the rest of the system leans on:
@@ -20,15 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_tuple
-from repro.core.arena import (
-    ArenaSlice,
-    ArenaTuple,
-    TupleArena,
-    column_of,
-    event_times_of,
-    flags_of,
-    tids_of,
-)
+from repro.core.arena import ArenaSlice, ArenaTuple, TupleArena
 from repro.core.tuples import StreamTuple
 
 from ..conftest import interleaved_rs, random_tuples
@@ -74,6 +66,20 @@ class TestTupleArena:
             "R", "S", "R", "S", "S",
         ]
         assert arena.stream_names == ["R", "S"]
+
+    def test_stream_limit_raises_typed_error(self):
+        # Stream codes are int8 (0..127): the 129th name must fail with a
+        # typed error, never overflow or wrap into the wrong stream.
+        arena = TupleArena()
+        for i in range(128):
+            arena.append(i, f"s{i}", (0.0,))
+        assert arena.stream_of(127) == "s127"
+        with pytest.raises(ValueError, match="128"):
+            arena.append(128, "one-too-many", (0.0,))
+        assert len(arena) == 128
+        # Known names still append after the rejection.
+        arena.append(128, "s5", (0.0,))
+        assert arena.stream_of(128) == "s5"
 
     def test_reset_retains_capacity(self):
         arena = TupleArena()
@@ -197,22 +203,16 @@ class TestArenaSlice:
 
 
 # ----------------------------------------------------------------------
-# Compatibility shims accept both planes
+# Slice accessors hand pure-Python scalars to record/fingerprint paths
 # ----------------------------------------------------------------------
-class TestShims:
-    def test_shims_equal_across_planes(self):
-        data = interleaved_rs(11, seed=11)
-        sl = ArenaSlice.of(data)
-        assert column_of(sl, 0).tolist() == column_of(data, 0).tolist()
-        assert tids_of(sl) == tids_of(data)
-        assert flags_of(sl, "R") == flags_of(data, "R")
-        assert event_times_of(sl) == event_times_of(data)
-
-    def test_shims_return_pure_python(self):
+class TestPurePythonAccessors:
+    def test_accessors_return_pure_python(self):
         sl = ArenaSlice.of(interleaved_rs(4, seed=12))
-        assert all(type(x) is int for x in tids_of(sl))
-        assert all(type(x) is bool for x in flags_of(sl, "R"))
-        assert all(type(x) is float for x in event_times_of(sl))
+        assert all(type(x) is int for x in sl.tids_list())
+        assert all(type(x) is bool for x in sl.stream_flags("R").tolist())
+        assert all(
+            type(x) is float for x in sl.event_time_values().tolist()
+        )
 
 
 # ----------------------------------------------------------------------

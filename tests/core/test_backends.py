@@ -128,9 +128,8 @@ class TestSQLBatch:
                 assert sql.probe(probe, True) == vec.probe(probe, True)
             probes = random_tuples(25, start_tid=2000, seed=53)
             flags = [True] * len(probes)
-            assert sql.probe_batch(probes, flags) == vec.probe_batch(
-                probes, flags
-            )
+            sl = ArenaSlice.of(probes)
+            assert sql.probe_batch(sl, flags) == vec.probe_batch(sl, flags)
         finally:
             sql.close()
 

@@ -22,6 +22,7 @@ from repro.core import (
     WindowSpec,
     make_tuple,
 )
+from repro.core.arena import ArenaSlice
 
 from ..conftest import INEQ_OPS, ReferenceWindowJoin, interleaved_rs, random_tuples
 
@@ -202,7 +203,7 @@ class TestEvaluateBatch:
         probes = tuples[40:]
         flags = [True] * len(probes)
         expected = [window.evaluate(t, True) for t in probes]
-        assert window.evaluate_batch(probes, flags) == expected
+        assert window.evaluate_batch(ArenaSlice.of(probes), flags) == expected
 
     def test_bounds_limit_visibility(self, q3_query):
         from repro.core.mutable import MutableComponent
@@ -213,9 +214,10 @@ class TestEvaluateBatch:
             window.insert(t)
         probe = tuples[-1]
         # bound 0 sees nothing; full bound sees the scalar answer.
-        assert window.evaluate_batch([probe], [True], [0]) == [[]]
+        probes = ArenaSlice.of([probe])
+        assert window.evaluate_batch(probes, [True], [0]) == [[]]
         full = window.evaluate(probe, True)
-        assert window.evaluate_batch([probe], [True], [len(tuples)]) == [full]
+        assert window.evaluate_batch(probes, [True], [len(tuples)]) == [full]
 
 
 class TestProbeBatch:
@@ -236,5 +238,5 @@ class TestProbeBatch:
         probes = tuples[60:]
         flags = [True] * len(probes)
         expected = [batch.probe(t, True) for t in probes]
-        got = batch.probe_batch(probes, flags)
+        got = batch.probe_batch(ArenaSlice.of(probes), flags)
         assert [sorted(m) for m in got] == [sorted(m) for m in expected]

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core import JoinType, Op, QuerySpec, WindowSpec, make_tuple
-from repro.core.window import MergePolicy
-from repro.joins.operators import SPOConfig, _MergeClock
+from repro.core.window import MergeClock, MergePolicy
+from repro.joins.operators import SPOConfig
 
 
 class TestMergeClock:
     def test_count_based_epochs(self):
-        clock = _MergeClock(MergePolicy(WindowSpec.count(100, 20)))
+        clock = MergeClock(MergePolicy(WindowSpec.count(100, 20)))
         fired = []
         for i in range(60):
             t = make_tuple(i, "T", 0.0, 0.0)
@@ -20,13 +20,13 @@ class TestMergeClock:
         assert [i for i, f in enumerate(fired) if f] == [19, 39, 59]
 
     def test_sub_interval_epochs(self):
-        clock = _MergeClock(MergePolicy(WindowSpec.count(100, 20), sub_intervals=4))
+        clock = MergeClock(MergePolicy(WindowSpec.count(100, 20), sub_intervals=4))
         for i in range(20):
             clock.advance(make_tuple(i, "T", 0.0, 0.0))
         assert clock.epoch == 4  # delta = 5
 
     def test_time_based_epochs(self):
-        clock = _MergeClock(MergePolicy(WindowSpec.time(1.0, 0.2)))
+        clock = MergeClock(MergePolicy(WindowSpec.time(1.0, 0.2)))
         fired = []
         for i in range(100):
             t = make_tuple(i, "T", 0.0, 0.0, event_time=i * 0.01)
@@ -39,7 +39,7 @@ class TestMergeClock:
         """Two clocks fed the same tuples fire at identical points —
         the property the distributed operators rely on."""
         policy = MergePolicy(WindowSpec.count(50, 10))
-        a, b = _MergeClock(policy), _MergeClock(policy)
+        a, b = MergeClock(policy), MergeClock(policy)
         for i in range(200):
             t = make_tuple(i, "T", 0.0, 0.0, event_time=i * 0.003)
             assert a.advance(t) == b.advance(t)

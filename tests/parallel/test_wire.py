@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 
 from repro.core.arena import ArenaSlice, ArenaTuple, TupleArena
-from repro.dspe.router import ArenaBatch
+from repro.dspe.engine import TupleBatch
 from repro.parallel import ShardBatch
 
 
@@ -74,7 +74,7 @@ def test_slice_pickle_round_trip_without_tuple_views():
 
 def test_arena_batch_pickle_round_trip_without_tuple_views():
     sl = _arena().slice()
-    batch = ArenaBatch(sl, origin_times=[0.1] * len(sl))
+    batch = TupleBatch(sl, origin_times=[0.1] * len(sl))
     with _NoTupleViews():
         back = pickle.loads(pickle.dumps(batch))
     _assert_bit_identical(back.slice, sl)
